@@ -186,7 +186,15 @@ func (d *DiskTier) touch(key, path string, size int64) {
 		d.lru.MoveToFront(el)
 		return
 	}
+	// Adopt only a file that is still there: an eviction can unlink it
+	// between our read and taking the lock, and indexing it then would
+	// count bytes that no longer exist. Evictions unlink under d.mu, so
+	// this check cannot race with them.
+	if _, err := os.Stat(path); err != nil {
+		return
+	}
 	d.insertLocked(&dentry{key: key, path: path, size: size})
+	d.evictLocked(d.byKey[key])
 	d.publishLocked()
 }
 

@@ -37,11 +37,9 @@ type Options struct {
 	// Objective selects the cost the optimizing mappers minimize; nil
 	// keeps the paper's max-APL everywhere.
 	Objective core.Objective
-	// Workers is the execution-shape knob threaded through every layer
-	// that can shard work: the parallel mappers (Monte-Carlo chunking,
-	// annealing restart portfolios) and the NoC simulator's intra-step
-	// engine. 0 keeps every serial default, negative selects GOMAXPROCS.
-	// Simulator statistics are bit-identical for any setting; mapper
+	// Workers is the execution-shape knob of the parallel mappers
+	// (Monte-Carlo chunking, annealing restart portfolios). 0 keeps
+	// every serial default, negative selects GOMAXPROCS. Mapper
 	// fingerprints (and therefore artifact cache keys and golden
 	// outputs) never include it.
 	Workers int

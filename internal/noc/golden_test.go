@@ -57,7 +57,6 @@ func fingerprintStats(st Stats) uint64 {
 func goldenRun(t *testing.T, cfg Config, seed uint64, rate float64, cycles int) uint64 {
 	t.Helper()
 	n := MustNew(cfg)
-	defer n.Close()
 	m := n.Mesh()
 	rng := stats.NewRand(seed)
 	types := []PacketType{CacheRequest, CacheReply, CacheForward, MemRequest, MemReply, Writeback}
@@ -74,6 +73,82 @@ func goldenRun(t *testing.T, cfg Config, seed uint64, rate float64, cycles int) 
 		}
 		n.Step()
 	}
+	return drainFingerprint(t, n)
+}
+
+// handlerRun drives a network whose delivery handler re-injects pooled
+// replies from its own random stream, so handler RNG draws, packet-pool
+// reuse and packet ids all depend on the exact delivery order.
+func handlerRun(t *testing.T, cfg Config, seed uint64, rate float64, cycles int) uint64 {
+	t.Helper()
+	n := MustNew(cfg)
+	m := n.Mesh()
+	hrng := stats.NewRand(seed ^ 0xabcdef)
+	n.SetDeliveryHandler(func(p *Packet) {
+		// Half of the requests get a pooled reply to a random tile.
+		if p.Type == CacheRequest && hrng.Float64() < 0.5 {
+			r := n.AllocPacket()
+			r.Src, r.Dst = p.Dst, mesh.Tile(hrng.Intn(m.NumTiles()))
+			r.Type, r.App = CacheReply, p.App
+			if err := n.Inject(r); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	rng := stats.NewRand(seed)
+	for cyc := 0; cyc < cycles; cyc++ {
+		for _, src := range m.Tiles() {
+			if rng.Float64() < rate {
+				p := n.AllocPacket()
+				p.Src = src
+				p.Dst = mesh.Tile(rng.Intn(m.NumTiles()))
+				p.Type, p.App = CacheRequest, rng.Intn(2)
+				if err := n.Inject(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		n.Step()
+	}
+	return drainFingerprint(t, n)
+}
+
+// wrapRowsRun confines torus traffic to the first and last rows, which
+// are neighbours only through the wrap links: every column sends pooled
+// requests from row 0 to the last row and pooled replies back, so all
+// traffic crosses a dateline.
+func wrapRowsRun(t *testing.T, cfg Config, seed uint64, rate float64, cycles int) uint64 {
+	t.Helper()
+	n := MustNew(cfg)
+	last := (cfg.Rows - 1) * cfg.Cols
+	rng := stats.NewRand(seed)
+	for cyc := 0; cyc < cycles; cyc++ {
+		for col := 0; col < cfg.Cols; col++ {
+			if rng.Float64() < rate {
+				p := n.AllocPacket()
+				p.Src, p.Dst = mesh.Tile(col), mesh.Tile(last+col)
+				p.Type, p.App = CacheRequest, 0
+				if err := n.Inject(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if rng.Float64() < rate {
+				p := n.AllocPacket()
+				p.Src, p.Dst = mesh.Tile(last+col), mesh.Tile(col)
+				p.Type, p.App = CacheReply, 0
+				if err := n.Inject(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		n.Step()
+	}
+	return drainFingerprint(t, n)
+}
+
+// drainFingerprint drains n and returns its stats fingerprint.
+func drainFingerprint(t *testing.T, n *Network) uint64 {
+	t.Helper()
 	if err := n.Drain(200_000); err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +158,16 @@ func goldenRun(t *testing.T, cfg Config, seed uint64, rate float64, cycles int) 
 // TestGoldenDeterminism pins fixed-seed statistics fingerprints captured
 // from the pre-calendar-queue simulator (map-bucketed events, slice
 // shifting flit queues, full-router scans). Any divergence means the
-// hot-path rework changed simulated behaviour, not just its speed.
+// hot-path rework changed simulated behaviour, not just its speed. The
+// handler and wrap-rows cases were captured later, from the serial step
+// just before the intra-step sharded engine was deleted. Every case
+// runs twice: the rerun catches nondeterminism.
 func TestGoldenDeterminism(t *testing.T) {
 	cases := []struct {
-		name   string
-		cfg    func() Config
+		name string
+		cfg  func() Config
+		// run drives the workload; nil means goldenRun.
+		run    func(t *testing.T, cfg Config, seed uint64, rate float64, cycles int) uint64
 		seed   uint64
 		rate   float64
 		cycles int
@@ -144,24 +224,59 @@ func TestGoldenDeterminism(t *testing.T) {
 			cycles: 2500,
 			want:   5253779206098163401,
 		},
+		{
+			name: "mesh6x6-handler",
+			cfg: func() Config {
+				c := DefaultConfig()
+				c.Rows, c.Cols = 6, 6
+				return c
+			},
+			run:    handlerRun,
+			seed:   4242,
+			rate:   0.06,
+			cycles: 2000,
+			want:   2936991916634121788,
+		},
+		{
+			name: "mesh6x6-creditdelay-handler",
+			cfg: func() Config {
+				c := DefaultConfig()
+				c.Rows, c.Cols = 6, 6
+				c.CreditDelay = 2
+				return c
+			},
+			run:    handlerRun,
+			seed:   4242,
+			rate:   0.06,
+			cycles: 2000,
+			want:   1319198628378722026,
+		},
+		{
+			name: "torus4x4-wrap-rows",
+			cfg: func() Config {
+				c := DefaultConfig()
+				c.Rows, c.Cols = 4, 4
+				c.Torus = true
+				c.VCsPerClass = 2
+				return c
+			},
+			run:    wrapRowsRun,
+			seed:   7,
+			rate:   0.4,
+			cycles: 5000,
+			want:   9114097653744048704,
+		},
 	}
-	// Every pinned fingerprint must come out of both step engines at
-	// every worker count: Workers is a throughput knob, never a model
-	// parameter. 0 and 1 take the serial path; 2 and 8 shard (8 exceeds
-	// the 4-row meshes' row count and exercises the Rows cap).
-	workers := []int{0, 1, 2, 8}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, w := range workers {
-				cfg := tc.cfg()
-				cfg.Workers = w
-				got := goldenRun(t, cfg, tc.seed, tc.rate, tc.cycles)
-				if got != tc.want {
-					t.Errorf("workers=%d: stats fingerprint = %d, want %d (simulated behaviour changed)", w, got, tc.want)
-				}
+			run := tc.run
+			if run == nil {
+				run = goldenRun
 			}
-			if again := goldenRun(t, tc.cfg(), tc.seed, tc.rate, tc.cycles); again != tc.want {
-				t.Errorf("rerun fingerprint = %d, want %d (nondeterministic)", again, tc.want)
+			for i := 0; i < 2; i++ {
+				if got := run(t, tc.cfg(), tc.seed, tc.rate, tc.cycles); got != tc.want {
+					t.Errorf("run %d: stats fingerprint = %d, want %d (simulated behaviour changed or nondeterministic)", i, got, tc.want)
+				}
 			}
 		})
 	}

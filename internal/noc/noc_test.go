@@ -551,3 +551,38 @@ func TestLinkUtilization(t *testing.T) {
 		}
 	}
 }
+
+// TestStepAllocFree pins the allocation-free cycle loop: an 8x8 network
+// held at a steady in-flight population by a delivery handler that
+// re-injects pooled packets (the shape of BenchmarkNoCStep/loaded) must
+// not allocate in Step once the rings, queues and packet pool have
+// reached their high-water marks.
+func TestStepAllocFree(t *testing.T) {
+	n := MustNew(DefaultConfig())
+	rng := stats.NewRand(23)
+	launch := func(src, dst mesh.Tile) {
+		p := n.AllocPacket()
+		p.Src, p.Dst, p.Type, p.App = src, dst, CacheReply, 0
+		if err := n.Inject(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.SetDeliveryHandler(func(p *Packet) {
+		src := mesh.Tile(rng.Intn(64))
+		dst := mesh.Tile((int(src) + 1 + rng.Intn(63)) % 64)
+		launch(src, dst)
+	})
+	for k := 0; k < 16; k++ {
+		launch(mesh.Tile(4*k), mesh.Tile((4*k+13)%64))
+	}
+	for i := 0; i < 5000; i++ { // warmup
+		n.Step()
+	}
+	delivered := n.Stats().DeliveredPackets
+	if allocs := testing.AllocsPerRun(2000, n.Step); allocs != 0 {
+		t.Errorf("Step allocates %.2f times per cycle in steady state, want 0", allocs)
+	}
+	if n.Stats().DeliveredPackets == delivered {
+		t.Fatal("no packet delivered while measuring: the network is not loaded")
+	}
+}

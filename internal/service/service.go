@@ -64,8 +64,8 @@ type Request struct {
 	// mappers ("" or "max", "dev", "global", "ratio",
 	// "weighted:max=1,dev=2").
 	Objective string `json:"objective,omitempty"`
-	// Workers shards the parallel mappers and the NoC step engine: 0
-	// serial, -1 all cores. Results are bit-identical for any value.
+	// Workers shards the parallel mappers (Monte-Carlo sampling,
+	// annealing restart portfolios): 0 serial, -1 all cores.
 	Workers int `json:"workers,omitempty"`
 	// CacheDir roots the persistent artifact disk tier. Attaching the
 	// tier is the host's job (cmd/obmsim does it per run; the daemon
