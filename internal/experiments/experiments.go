@@ -196,6 +196,22 @@ func mapEval(ctx context.Context, p *core.Problem, m mapping.Mapper) (core.Mappi
 	return scenario.Shared().MapEval(ctx, p, m)
 }
 
+// mapEach maps p with each of mappers through mapEval, in order. The
+// sim-backed runners call it on their own goroutine before fanning the
+// simulations out, so the artifact store sees the same requests in the
+// same order whatever the core count.
+func mapEach(ctx context.Context, p *core.Problem, mappers []mapping.Mapper) ([]core.Mapping, error) {
+	mps := make([]core.Mapping, len(mappers))
+	for mi, m := range mappers {
+		mp, _, err := mapEval(ctx, p, m)
+		if err != nil {
+			return nil, err
+		}
+		mps[mi] = mp
+	}
+	return mps, nil
+}
+
 // mapEvalSet is the set-valued twin of mapEval: it runs set-mapper sm
 // through the same process-wide artifact store, keyed by the vector
 // objective's fingerprint, so Pareto fronts are computed once per run

@@ -51,27 +51,33 @@ func (e extBurst) Run(ctx context.Context, o Options) (Result, error) {
 	if o.Quick {
 		scfg.MeasureCycles = 60_000
 	}
-	res := &BurstResult{Config: cfgName}
-	for _, factor := range []float64{1, 4, 12} {
-		for _, m := range []mapping.Mapper{mapping.Global{}, mapping.SortSelectSwap{}} {
-			mp, _, err := mapEval(ctx, p, m)
-			if err != nil {
-				return nil, err
-			}
-			c := scfg
-			c.BurstFactor = factor
-			sr, err := sim.RateDriven(ctx, p, mp, c)
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = append(res.Rows, BurstRow{
-				Mapper: shortName(m), BurstFactor: factor,
-				MaxAPL: sr.MaxAPL, DevAPL: sr.DevAPL,
-				QueuingPerHop: sr.Net.AvgQueuingPerHop(),
-			})
-		}
+	mappers := []mapping.Mapper{mapping.Global{}, mapping.SortSelectSwap{}}
+	mps, err := mapEach(ctx, p, mappers)
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	// Every (burst factor, mapper) point is an independent simulation:
+	// fan them out as one job list, each reduced to its row in the
+	// worker, with rows in job order as in the serial sweep.
+	factors := []float64{1, 4, 12}
+	rows, err := sim.RunReplicas(ctx, len(factors)*len(mappers), 0, func(ctx context.Context, i int) (BurstRow, error) {
+		fi, mi := i/len(mappers), i%len(mappers)
+		c := scfg
+		c.BurstFactor = factors[fi]
+		sr, err := sim.RateDriven(ctx, p, mps[mi], c)
+		if err != nil {
+			return BurstRow{}, err
+		}
+		return BurstRow{
+			Mapper: shortName(mappers[mi]), BurstFactor: factors[fi],
+			MaxAPL: sr.MaxAPL, DevAPL: sr.DevAPL,
+			QueuingPerHop: sr.Net.AvgQueuingPerHop(),
+		}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &BurstResult{Config: cfgName, Rows: rows}, nil
 }
 
 func (r *BurstResult) table() *Table {

@@ -50,12 +50,14 @@ func (e extLoadSweep) Run(ctx context.Context, o Options) (Result, error) {
 	}
 	// Every (pattern, rate) point is an independent deterministic
 	// simulation (noc.MeasureLoadPoint), so flatten the grid into one
-	// job list and shard it across cores; reassembling by index keeps
-	// the curves identical to the serial sweep.
+	// job list and shard it across cores. Higher rates carry more flits
+	// over the same cycles, so the list runs highest rate first (longest
+	// job first); reassembling by (pattern, rate) keeps the curves
+	// identical to the serial sweep.
 	type job struct{ pi, ri int }
 	var jobs []job
-	for pi := range pats {
-		for ri := range sw.Rates {
+	for ri := len(sw.Rates) - 1; ri >= 0; ri-- {
+		for pi := range pats {
 			jobs = append(jobs, job{pi, ri})
 		}
 	}
@@ -66,15 +68,20 @@ func (e extLoadSweep) Run(ctx context.Context, o Options) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &LoadSweepResult{}
-	for pi, pat := range pats {
+	res := &LoadSweepResult{Points: make([][]noc.LoadPoint, len(pats))}
+	for pi := range res.Points {
+		res.Points[pi] = make([]noc.LoadPoint, len(sw.Rates))
+	}
+	for i, j := range jobs {
+		res.Points[j.pi][j.ri] = pts[i]
+	}
+	for _, pat := range pats {
 		zl, err := noc.ZeroLoadLatency(cfg, pat, 200_000, sw.Seed)
 		if err != nil {
 			return nil, err
 		}
 		res.Patterns = append(res.Patterns, pat.Name())
 		res.ZeroLoad = append(res.ZeroLoad, zl)
-		res.Points = append(res.Points, pts[pi*len(sw.Rates):(pi+1)*len(sw.Rates)])
 	}
 	return res, nil
 }

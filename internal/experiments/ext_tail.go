@@ -54,30 +54,45 @@ func (e extTail) Run(ctx context.Context, o Options) (Result, error) {
 		scfg.MeasureCycles = 60_000
 	}
 	reps := sp.Budget.SimReplicas
+	mappers := []mapping.Mapper{mapping.Global{}, mapping.SortSelectSwap{}}
+	mps, err := mapEach(ctx, p, mappers)
+	if err != nil {
+		return nil, err
+	}
+	// Independent seeded replicas of every mapper, sharded across cores
+	// as one job list; each job is reduced in the worker to its per-app
+	// P50/P95/P99. Percentiles are then averaged per application in
+	// replica order, tightening the tail estimates (a single replica
+	// reproduces the unreplicated measurement).
+	pcts, err := sim.RunReplicas(ctx, len(mappers)*reps, 0, func(ctx context.Context, i int) ([][3]float64, error) {
+		c := scfg
+		c.Seed = sim.ReplicaSeed(scfg.Seed, i%reps)
+		sr, err := sim.RateDriven(ctx, p, mps[i/reps], c)
+		if err != nil {
+			return nil, err
+		}
+		out := make([][3]float64, p.NumApps())
+		for a := range out {
+			out[a] = [3]float64{sr.Net.AppPercentile(a, 50), sr.Net.AppPercentile(a, 95), sr.Net.AppPercentile(a, 99)}
+		}
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	res := &TailResult{Config: cfgName, SpreadP99: map[string]float64{}}
-	for _, m := range []mapping.Mapper{mapping.Global{}, mapping.SortSelectSwap{}} {
-		mp, _, err := mapEval(ctx, p, m)
-		if err != nil {
-			return nil, err
-		}
-		// Independent seeded replicas sharded across cores; percentiles
-		// are averaged per application, tightening the tail estimates
-		// (a single replica reproduces the unreplicated measurement).
-		srs, err := sim.RateDrivenReplicas(ctx, p, mp, scfg, reps)
-		if err != nil {
-			return nil, err
-		}
+	for mi, m := range mappers {
 		var p99s []float64
 		for a := 0; a < p.NumApps(); a++ {
 			row := TailRow{Mapper: shortName(m), App: a + 1}
-			for _, sr := range srs {
-				row.P50 += sr.Net.AppPercentile(a, 50)
-				row.P95 += sr.Net.AppPercentile(a, 95)
-				row.P99 += sr.Net.AppPercentile(a, 99)
+			for _, q := range pcts[mi*reps : (mi+1)*reps] {
+				row.P50 += q[a][0]
+				row.P95 += q[a][1]
+				row.P99 += q[a][2]
 			}
-			row.P50 /= float64(len(srs))
-			row.P95 /= float64(len(srs))
-			row.P99 /= float64(len(srs))
+			row.P50 /= float64(reps)
+			row.P95 /= float64(reps)
+			row.P99 /= float64(reps)
 			res.Rows = append(res.Rows, row)
 			p99s = append(p99s, row.P99)
 		}

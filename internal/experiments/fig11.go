@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+
+	"obm/internal/core"
 	"obm/internal/power"
 	"obm/internal/sim"
 )
@@ -46,37 +48,44 @@ func (f fig11) Run(ctx context.Context, o Options) (Result, error) {
 	if o.Quick {
 		scfg.MeasureCycles = 40_000
 	}
-	pparams := power.Default45nm()
-	res.Values = make([][]float64, len(mappers))
-	for mi := range mappers {
-		res.Values[mi] = make([]float64, len(cfgs))
-	}
-	err = parallelConfigs(ctx, cfgs, func(ci int, cfg string) error {
-		for mi, m := range mappers {
-			p, err := problemFor(cfg)
-			if err != nil {
-				return err
-			}
-			mp, _, err := mapEval(ctx, p, m)
-			if err != nil {
-				return err
-			}
-			sr, err := sim.RateDriven(ctx, p, mp, scfg)
-			if err != nil {
-				return err
-			}
-			msh := p.Model().Mesh()
-			rep, err := power.Estimate(pparams, sr.Net, msh.NumTiles(),
-				power.MeshLinkCount(msh.Rows(), msh.Cols()))
-			if err != nil {
-				return err
-			}
-			res.Values[mi][ci] = rep.DynamicW
+	// Map every (config, mapper) pair first, then run their simulations
+	// as one job list across cores, each reduced in the worker to its
+	// dynamic power.
+	probs := make([]*core.Problem, len(cfgs))
+	mps := make([][]core.Mapping, len(cfgs))
+	for ci, cfg := range cfgs {
+		if probs[ci], err = problemFor(cfg); err != nil {
+			return nil, err
 		}
-		return nil
+		if mps[ci], err = mapEach(ctx, probs[ci], mappers); err != nil {
+			return nil, err
+		}
+	}
+	pparams := power.Default45nm()
+	watts, err := sim.RunReplicas(ctx, len(cfgs)*len(mappers), 0, func(ctx context.Context, i int) (float64, error) {
+		ci, mi := i/len(mappers), i%len(mappers)
+		p := probs[ci]
+		sr, err := sim.RateDriven(ctx, p, mps[ci][mi], scfg)
+		if err != nil {
+			return 0, err
+		}
+		msh := p.Model().Mesh()
+		rep, err := power.Estimate(pparams, sr.Net, msh.NumTiles(),
+			power.MeshLinkCount(msh.Rows(), msh.Cols()))
+		if err != nil {
+			return 0, err
+		}
+		return rep.DynamicW, nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	res.Values = make([][]float64, len(mappers))
+	for mi := range mappers {
+		res.Values[mi] = make([]float64, len(cfgs))
+		for ci := range cfgs {
+			res.Values[mi][ci] = watts[ci*len(mappers)+mi]
+		}
 	}
 	return res, nil
 }

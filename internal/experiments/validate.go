@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"obm/internal/core"
 	"obm/internal/mapping"
 	"obm/internal/sim"
 )
@@ -42,28 +43,33 @@ func (v validate) Run(ctx context.Context, o Options) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var parts []Result
-	for _, cfg := range sp.Configs {
-		p, err := problemFor(cfg)
+	scfg := sim.DefaultRateDrivenConfig()
+	scfg.Seed = sp.Seed + 5
+	if o.Quick {
+		scfg.MeasureCycles = 50_000
+	}
+	// Map every config first, then simulate them as one job list across
+	// cores, each reduced in the worker to its comparison.
+	probs := make([]*core.Problem, len(sp.Configs))
+	mps := make([]core.Mapping, len(sp.Configs))
+	preds := make([]core.Evaluation, len(sp.Configs))
+	for ci, cfg := range sp.Configs {
+		if probs[ci], err = problemFor(cfg); err != nil {
+			return nil, err
+		}
+		if mps[ci], preds[ci], err = mapEval(ctx, probs[ci], mapping.SortSelectSwap{}); err != nil {
+			return nil, err
+		}
+	}
+	parts, err := sim.RunReplicas(ctx, len(sp.Configs), 0, func(ctx context.Context, ci int) (Result, error) {
+		p := probs[ci]
+		sr, err := sim.RateDriven(ctx, p, mps[ci], scfg)
 		if err != nil {
 			return nil, err
 		}
-		m, pred, err := mapEval(ctx, p, mapping.SortSelectSwap{})
-		if err != nil {
-			return nil, err
-		}
-		scfg := sim.DefaultRateDrivenConfig()
-		scfg.Seed = sp.Seed + 5
-		if o.Quick {
-			scfg.MeasureCycles = 50_000
-		}
-		sr, err := sim.RateDriven(ctx, p, m, scfg)
-		if err != nil {
-			return nil, err
-		}
-		res := &ValidateResult{Config: cfg, Mapper: "SSS", QueuingPerHop: sr.Net.AvgQueuingPerHop()}
+		res := &ValidateResult{Config: sp.Configs[ci], Mapper: "SSS", QueuingPerHop: sr.Net.AvgQueuingPerHop()}
 		for a := 0; a < p.NumApps(); a++ {
-			row := ValidateRow{App: a + 1, Model: pred.APLs[a], Measured: sr.AppAPL[a]}
+			row := ValidateRow{App: a + 1, Model: preds[ci].APLs[a], Measured: sr.AppAPL[a]}
 			if a < len(sr.Net.ByApp) {
 				row.Packets = sr.Net.ByApp[a].Packets
 			}
@@ -71,7 +77,10 @@ func (v validate) Run(ctx context.Context, o Options) (Result, error) {
 			res.MeanAbsErr += math.Abs(row.Measured - row.Model)
 		}
 		res.MeanAbsErr /= float64(len(res.Rows))
-		parts = append(parts, res)
+		return res, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if len(parts) == 1 {
 		return parts[0], nil

@@ -84,7 +84,7 @@ func TestGoldenRateDriven(t *testing.T) {
 	}
 }
 
-// TestReplicaSeed checks the contract RateDrivenReplicas relies on:
+// TestReplicaSeed checks the contract seeded replica fan-outs rely on:
 // replica 0 reuses the base seed and later replicas get distinct
 // streams.
 func TestReplicaSeed(t *testing.T) {
@@ -138,19 +138,27 @@ func TestRunReplicasErrors(t *testing.T) {
 }
 
 // TestRateDrivenReplicasDeterminism checks the two guarantees the
-// experiments build on: one replica is bit-identical to the serial
+// experiments build on when they fan seeded RateDriven replicas out
+// through RunReplicas: one replica is bit-identical to the serial
 // RateDriven call, and a parallel N-replica run equals N serial runs of
 // the per-replica seeds.
 func TestRateDrivenReplicasDeterminism(t *testing.T) {
 	p, mp := goldenProblem(t)
 	cfg := goldenCfg()
 	cfg.MeasureCycles = 5_000
+	replicas := func(n int) ([]Result, error) {
+		return RunReplicas(context.Background(), n, 0, func(ctx context.Context, i int) (Result, error) {
+			c := cfg
+			c.Seed = ReplicaSeed(cfg.Seed, i)
+			return RateDriven(ctx, p, mp, c)
+		})
+	}
 
 	serial, err := RateDriven(context.Background(), p, mp, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := RateDrivenReplicas(context.Background(), p, mp, cfg, 1)
+	one, err := replicas(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +167,7 @@ func TestRateDrivenReplicasDeterminism(t *testing.T) {
 	}
 
 	const n = 3
-	par, err := RateDrivenReplicas(context.Background(), p, mp, cfg, n)
+	par, err := replicas(n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
-	"obm/internal/core"
 	"obm/internal/engine"
 	"obm/internal/obs"
 	"obm/internal/stats"
@@ -24,17 +24,26 @@ var (
 	mJobSeconds    = obs.Default().Timer("sim.replicas.job.seconds")
 )
 
-// runJob executes one replica job with metrics around it.
-func runJob[T any](ctx context.Context, i int, job func(ctx context.Context, i int) (T, error)) (T, error) {
+// runJob executes one replica job with metrics around it. A panicking
+// job becomes that job's error (panic value and stack preserved) with a
+// zero result: on a worker goroutine the panic would otherwise kill the
+// process before any job-level recover above RunReplicas could see it,
+// and the sibling jobs still finish into their slots.
+func runJob[T any](ctx context.Context, i int, job func(ctx context.Context, i int) (T, error)) (v T, err error) {
 	start := time.Now()
-	v, err := job(ctx, i)
-	mJobSeconds.Since(start)
-	if err != nil {
-		mJobsFailed.Inc()
-	} else {
-		mJobsCompleted.Inc()
-	}
-	return v, err
+	defer func() {
+		if r := recover(); r != nil {
+			var zero T
+			v, err = zero, fmt.Errorf("sim: replica job %d panicked: %v\n%s", i, r, debug.Stack())
+		}
+		mJobSeconds.Since(start)
+		if err != nil {
+			mJobsFailed.Inc()
+		} else {
+			mJobsCompleted.Inc()
+		}
+	}()
+	return job(ctx, i)
 }
 
 // RunReplicas runs n independent jobs across at most workers goroutines
@@ -43,7 +52,9 @@ func runJob[T any](ctx context.Context, i int, job func(ctx context.Context, i i
 // the simulator types are not safe for concurrent use) — sharding whole
 // seeded replicas is the share-nothing decomposition that keeps the
 // parallel run bit-identical to running the same jobs serially. Jobs
-// that fail contribute a zero result; the errors are joined.
+// that fail or panic contribute a zero result; the errors are joined.
+// Jobs are dispatched in index order, so callers that know their costs
+// can order the list longest first.
 //
 // Cancellation: when ctx is done, no further jobs are dispatched and
 // each in-flight job sees the same ctx (jobs are expected to poll it
@@ -100,6 +111,13 @@ func RunReplicas[T any](ctx context.Context, n, workers int, job func(ctx contex
 		}
 	dispatch:
 		for i := 0; i < n; i++ {
+			// select picks at random among ready cases, so check ctx
+			// first: once it is done, no further job is dispatched even
+			// when a worker is also ready.
+			if ctx.Err() != nil {
+				dispatched = i
+				break
+			}
 			select {
 			case idx <- i:
 			case <-ctx.Done():
@@ -130,17 +148,4 @@ func RunReplicas[T any](ctx context.Context, n, workers int, job func(ctx contex
 // deterministic fan-out (Monte-Carlo chunks, annealing restarts).
 func ReplicaSeed(base uint64, rep int) uint64 {
 	return stats.SplitSeed(base, rep)
-}
-
-// RateDrivenReplicas runs replicas independent RateDriven simulations
-// of (p, m), identical except for the injector seed (ReplicaSeed of
-// cfg.Seed), spread over the machine's cores. Results come back in
-// replica order regardless of completion order, so downstream
-// aggregation is deterministic.
-func RateDrivenReplicas(ctx context.Context, p *core.Problem, m core.Mapping, cfg RateDrivenConfig, replicas int) ([]Result, error) {
-	return RunReplicas(ctx, replicas, 0, func(ctx context.Context, i int) (Result, error) {
-		c := cfg
-		c.Seed = ReplicaSeed(cfg.Seed, i)
-		return RateDriven(ctx, p, m, c)
-	})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -45,8 +46,14 @@ func TestReplicasCancelledProgressReportsDispatched(t *testing.T) {
 			defer cancel()
 			const n = 16
 			_, err := RunReplicas(ctx, n, workers, func(ctx context.Context, i int) (int, error) {
-				if i == 2 {
+				switch {
+				case i == 2:
 					cancel() // stop dispatch mid-batch
+				case i > 2:
+					// Later jobs poll ctx and unwind, as simulations do;
+					// without the wait the workers can drain every index
+					// before job 2 has run.
+					<-ctx.Done()
 				}
 				return i, nil
 			})
@@ -119,5 +126,39 @@ func TestReplicasMetrics(t *testing.T) {
 	}
 	if got, want := h1.Count-h0.Count, uint64(n); got != want {
 		t.Errorf("busy-time samples delta = %d, want %d", got, want)
+	}
+}
+
+// TestReplicasPanicBecomesJobError checks that a panicking job fails
+// only itself: its error names the job and carries the panic value and
+// stack, and every sibling job still finishes into its own slot.
+func TestReplicasPanicBecomesJobError(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			const n, bad = 8, 3
+			out, err := RunReplicas(context.Background(), n, workers, func(ctx context.Context, i int) (int, error) {
+				if i == bad {
+					panic("synthetic simulator fault")
+				}
+				return 10 * i, nil
+			})
+			if err == nil {
+				t.Fatal("panicking job returned no error")
+			}
+			for _, want := range []string{"replica job 3 panicked", "synthetic simulator fault", "goroutine"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not contain %q", err, want)
+				}
+			}
+			for i, v := range out {
+				want := 10 * i
+				if i == bad {
+					want = 0
+				}
+				if v != want {
+					t.Errorf("out[%d] = %d, want %d", i, v, want)
+				}
+			}
+		})
 	}
 }
