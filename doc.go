@@ -21,6 +21,5 @@
 //	cmd/obmsim    regenerate any table/figure: obmsim -exp table1
 //	cmd/mapviz    map a configuration and inspect placements
 //	cmd/tracegen  generate and inspect workload traces
-//	examples/     runnable walkthroughs of the public surfaces
 //	bench_test.go benchmark per table/figure plus ablations
 package obm

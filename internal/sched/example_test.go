@@ -7,13 +7,14 @@ import (
 	"obm/internal/mapping"
 	"obm/internal/mesh"
 	"obm/internal/model"
+	"obm/internal/obs"
 	"obm/internal/sched"
 	"obm/internal/workload"
 )
 
 // Run a small arrival/departure timeline under the remap-on-change
 // policy (Section IV.B of the paper).
-func ExampleRunner_Run() {
+func ExampleStreamRunner_Run() {
 	lm := model.MustNew(mesh.MustNew(8, 8), model.DefaultParams())
 	app := func(cfg string, idx int, name string) *workload.Application {
 		w := workload.MustConfig(cfg)
@@ -30,11 +31,15 @@ func ExampleRunner_Run() {
 		},
 		End: 200,
 	}
-	r, err := sched.NewRunner(lm, mapping.SortSelectSwap{}, sched.OnChange{})
+	r, err := sched.NewStreamRunner(lm, sched.StreamConfig{
+		Policy:   sched.OnChange{},
+		Remapper: sched.FullRemap{Mapper: mapping.SortSelectSwap{}},
+		Registry: obs.NewRegistry(),
+	})
 	if err != nil {
 		panic(err)
 	}
-	met, err := r.Run(context.Background(), sc)
+	met, err := r.Run(context.Background(), sched.NewSliceSource(sc))
 	if err != nil {
 		panic(err)
 	}

@@ -12,8 +12,9 @@ import (
 
 // Source streams a timeline of events so million-event scenarios never
 // need to exist in memory as a slice. Events arrive in nondecreasing
-// Time order and satisfy the Scenario invariants (arrivals unique,
-// departures live).
+// Time order, arrivals are unique among live applications, and
+// departures name live ones; StreamRunner.Run rejects a source that
+// breaks this.
 type Source interface {
 	// Next returns the next event; ok is false when the timeline is
 	// exhausted.
@@ -33,7 +34,8 @@ type SliceSource struct {
 	i  int
 }
 
-// NewSliceSource wraps sc; the caller should have validated it.
+// NewSliceSource wraps sc; StreamRunner.Run rejects it if it is
+// unordered or inconsistent.
 func NewSliceSource(sc Scenario) *SliceSource { return &SliceSource{sc: sc} }
 
 // Next implements Source.
@@ -52,10 +54,9 @@ func (s *SliceSource) Len() int { return len(s.sc.Events) }
 // End implements Source.
 func (s *SliceSource) End() int64 { return s.sc.End }
 
-// Materialize drains a source into an in-memory Scenario — convenient
-// for tests and for feeding generated timelines to the event-slice
-// Runner at small scale. It refuses nothing: the source's own
-// invariants make the result valid.
+// Materialize drains a source into an in-memory Scenario, convenient
+// for inspecting or replaying a generated timeline at small scale. It
+// checks nothing; StreamRunner.Run validates whatever it is fed.
 func Materialize(src Source) Scenario {
 	sc := Scenario{Events: make([]Event, 0, src.Len())}
 	for {

@@ -14,8 +14,13 @@ func TestGeneratorProducesValidScenario(t *testing.T) {
 		if len(sc.Events) != 2000 {
 			t.Fatalf("seed %d: emitted %d events, want 2000", seed, len(sc.Events))
 		}
-		if err := sc.Validate(); err != nil {
+		// Run rejects unordered or inconsistent timelines.
+		met, err := runScenario(t, Never{}, sc)
+		if err != nil {
 			t.Fatalf("seed %d: generated scenario invalid: %v", seed, err)
+		}
+		if met.Events != 2000 {
+			t.Fatalf("seed %d: ran %d events, want 2000", seed, met.Events)
 		}
 	}
 }

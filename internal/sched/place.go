@@ -161,21 +161,19 @@ func (s *SpiralPlacement) Place(lm *model.LatencyModel, app *workload.Applicatio
 	return out, nil
 }
 
-// SAMPlacement picks the `need` free tiles with the lowest TC and
-// assigns threads to them with a Hungarian solve over the full
-// c·TC + m·TM cost — the quality-first arrival path, O(need³) per
-// arrival.
-type SAMPlacement struct {
+// assignPlacement is the Hungarian core shared by SAMPlacement and
+// FirstFitPlacement: it picks `need` free tiles and assigns the
+// application's threads to them minimizing total c·TC + m·TM cost. The
+// two placements differ only in which free tiles they pick.
+type assignPlacement struct {
 	solver hungarian.Solver
 	cand   []mesh.Tile
 	cost   [][]float64
 }
 
-// Name implements Placement.
-func (s *SAMPlacement) Name() string { return "sam" }
-
-// Place implements Placement.
-func (s *SAMPlacement) Place(lm *model.LatencyModel, app *workload.Application, fs *FreeSet) ([]mesh.Tile, error) {
+// place picks the `need` lowest-TC free tiles when byTC is set and the
+// `need` lowest-index free tiles otherwise, then solves the assignment.
+func (s *assignPlacement) place(lm *model.LatencyModel, app *workload.Application, fs *FreeSet, byTC bool) ([]mesh.Tile, error) {
 	need := len(app.Threads)
 	if need == 0 {
 		return nil, fmt.Errorf("sched: placing empty application %q", app.Name)
@@ -184,18 +182,20 @@ func (s *SAMPlacement) Place(lm *model.LatencyModel, app *workload.Application, 
 		return nil, fmt.Errorf("sched: %q needs %d tiles, %d free", app.Name, need, fs.Count())
 	}
 	cand := s.cand[:0]
-	for t := 0; t < lm.NumTiles(); t++ {
+	for t := 0; t < lm.NumTiles() && (byTC || len(cand) < need); t++ {
 		if fs.Free(mesh.Tile(t)) {
 			cand = append(cand, mesh.Tile(t))
 		}
 	}
-	sort.Slice(cand, func(a, b int) bool {
-		ta, tb := lm.TC(cand[a]), lm.TC(cand[b])
-		if ta != tb {
-			return ta < tb
-		}
-		return cand[a] < cand[b]
-	})
+	if byTC {
+		sort.Slice(cand, func(a, b int) bool {
+			ta, tb := lm.TC(cand[a]), lm.TC(cand[b])
+			if ta != tb {
+				return ta < tb
+			}
+			return cand[a] < cand[b]
+		})
+	}
 	cand = cand[:need]
 	s.cand = cand
 
@@ -222,6 +222,35 @@ func (s *SAMPlacement) Place(lm *model.LatencyModel, app *workload.Application, 
 		out[i] = cand[j]
 	}
 	return out, nil
+}
+
+// SAMPlacement picks the `need` free tiles with the lowest TC and
+// assigns threads to them with a Hungarian solve over the full
+// c·TC + m·TM cost — the quality-first arrival path, O(need³) per
+// arrival.
+type SAMPlacement struct{ assignPlacement }
+
+// Name implements Placement.
+func (s *SAMPlacement) Name() string { return "sam" }
+
+// Place implements Placement.
+func (s *SAMPlacement) Place(lm *model.LatencyModel, app *workload.Application, fs *FreeSet) ([]mesh.Tile, error) {
+	return s.place(lm, app, fs, true)
+}
+
+// FirstFitPlacement takes the `need` lowest-index free tiles, whatever
+// their latency, and assigns threads to them with the same Hungarian
+// solve as SAMPlacement. It is the arrival path of the dynamic churn
+// experiment: cheap to pick, but blind to where the good tiles are, so
+// it leaves more imbalance for remaps to fix.
+type FirstFitPlacement struct{ assignPlacement }
+
+// Name implements Placement.
+func (f *FirstFitPlacement) Name() string { return "first-fit" }
+
+// Place implements Placement.
+func (f *FirstFitPlacement) Place(lm *model.LatencyModel, app *workload.Application, fs *FreeSet) ([]mesh.Tile, error) {
+	return f.place(lm, app, fs, false)
 }
 
 func abs(x int) int {

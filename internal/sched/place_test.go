@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"testing"
 
 	"obm/internal/mesh"
@@ -37,7 +38,7 @@ func placementApp(n int) *workload.Application {
 
 func TestPlacementsReturnDistinctFreeTiles(t *testing.T) {
 	lm := testModel(t)
-	for _, pl := range []Placement{&SpiralPlacement{}, &SAMPlacement{}} {
+	for _, pl := range []Placement{&SpiralPlacement{}, &SAMPlacement{}, &FirstFitPlacement{}} {
 		fs := NewFreeSet(lm.NumTiles())
 		// Occupy a stripe so the placement must route around it.
 		for tile := 8; tile < 24; tile++ {
@@ -72,6 +73,7 @@ func TestPlacementsDeterministic(t *testing.T) {
 	for _, mk := range []func() Placement{
 		func() Placement { return &SpiralPlacement{} },
 		func() Placement { return &SAMPlacement{} },
+		func() Placement { return &FirstFitPlacement{} },
 	} {
 		fs := NewFreeSet(lm.NumTiles())
 		app := placementApp(9)
@@ -162,9 +164,57 @@ func TestSAMBeatsSpiralOnItsCost(t *testing.T) {
 	}
 }
 
+// TestFirstFitPlacement: first-fit uses exactly the lowest-index free
+// tiles, and its thread assignment is a minimum-cost one (checked
+// against every permutation of a small application).
+func TestFirstFitPlacement(t *testing.T) {
+	lm := testModel(t)
+	fs := NewFreeSet(lm.NumTiles())
+	for _, tile := range []mesh.Tile{0, 2, 3, 5} {
+		fs.Take(tile)
+	}
+	app := placementApp(5)
+	tiles, err := (&FirstFitPlacement{}).Place(lm, app, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[mesh.Tile]bool{1: true, 4: true, 6: true, 7: true, 8: true}
+	for _, tile := range tiles {
+		if !want[tile] {
+			t.Fatalf("placed on %v, want the tiles %v", tiles, want)
+		}
+		delete(want, tile)
+	}
+	cost := func(ts []mesh.Tile) float64 {
+		var sum float64
+		for i, th := range app.Threads {
+			sum += lm.Cost(th.CacheRate, th.MemRate, ts[i])
+		}
+		return sum
+	}
+	best := math.Inf(1)
+	var permute func(k int)
+	perm := []mesh.Tile{1, 4, 6, 7, 8}
+	permute = func(k int) {
+		if k == len(perm) {
+			best = math.Min(best, cost(perm))
+			return
+		}
+		for i := k; i < len(perm); i++ {
+			perm[k], perm[i] = perm[i], perm[k]
+			permute(k + 1)
+			perm[k], perm[i] = perm[i], perm[k]
+		}
+	}
+	permute(0)
+	if got := cost(tiles); math.Abs(got-best) > 1e-9 {
+		t.Errorf("first-fit assignment cost %.6f, brute-force optimum %.6f", got, best)
+	}
+}
+
 func TestPlacementErrors(t *testing.T) {
 	lm := testModel(t)
-	for _, pl := range []Placement{&SpiralPlacement{}, &SAMPlacement{}} {
+	for _, pl := range []Placement{&SpiralPlacement{}, &SAMPlacement{}, &FirstFitPlacement{}} {
 		fs := NewFreeSet(lm.NumTiles())
 		for tile := 0; tile < lm.NumTiles()-2; tile++ {
 			fs.Take(mesh.Tile(tile))

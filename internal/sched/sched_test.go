@@ -9,6 +9,7 @@ import (
 	"obm/internal/mapping"
 	"obm/internal/mesh"
 	"obm/internal/model"
+	"obm/internal/obs"
 	"obm/internal/workload"
 )
 
@@ -42,50 +43,78 @@ func fourPhaseScenario() Scenario {
 	}
 }
 
+// runScenario drives sc through a StreamRunner with first-fit placement
+// and full sort-select-swap re-solves whenever pol fires, the
+// configuration of the dynamic churn experiment.
+func runScenario(t testing.TB, pol Policy, sc Scenario) (StreamMetrics, error) {
+	t.Helper()
+	return runWith(t, pol, FullRemap{Mapper: mapping.SortSelectSwap{}}, obs.NewRegistry(), sc)
+}
+
+// runWith is runScenario with an explicit remapper and registry.
+func runWith(t testing.TB, pol Policy, rm Remapper, reg *obs.Registry, sc Scenario) (StreamMetrics, error) {
+	t.Helper()
+	r, err := NewStreamRunner(testModel(t), StreamConfig{
+		Placement: &FirstFitPlacement{},
+		Policy:    pol,
+		Remapper:  rm,
+		Registry:  reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.Run(context.Background(), NewSliceSource(sc))
+}
+
+// mustRun is runScenario failing the test on error.
+func mustRun(t testing.TB, pol Policy, sc Scenario) StreamMetrics {
+	t.Helper()
+	met, err := runScenario(t, pol, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return met
+}
+
+// TestScenarioValidate: Run rejects every unordered or inconsistent
+// timeline instead of measuring it.
 func TestScenarioValidate(t *testing.T) {
-	if err := fourPhaseScenario().Validate(); err != nil {
+	if _, err := runScenario(t, OnChange{}, fourPhaseScenario()); err != nil {
 		t.Fatal(err)
 	}
 	bad := []Scenario{
 		{},
 		{Events: []Event{{Time: 5, Arrive: appFrom("C1", 0, "a")}, {Time: 1, Depart: "a"}}, End: 10},
+		{Events: []Event{{Time: 10, Arrive: appFrom("C1", 0, "a")}, {Time: 5, Arrive: appFrom("C1", 1, "b")}}, End: 3},
 		{Events: []Event{{Time: 0}}, End: 1},
 		{Events: []Event{{Time: 0, Arrive: appFrom("C1", 0, "a"), Depart: "b"}}, End: 1},
+		{Events: []Event{{Time: 0, Arrive: appFrom("C1", 0, "a")}, {Time: 0, Arrive: appFrom("C1", 1, "b"), Depart: "a"}}, End: 1},
 		{Events: []Event{{Time: 0, Depart: "ghost"}}, End: 1},
 		{Events: []Event{{Time: 0, Arrive: appFrom("C1", 0, "a")}, {Time: 1, Arrive: appFrom("C1", 1, "a")}}, End: 2},
 		{Events: []Event{{Time: 5, Arrive: appFrom("C1", 0, "a")}}, End: 1},
 		{Events: []Event{{Time: 0, Arrive: &workload.Application{Name: "empty"}}}, End: 1},
 	}
 	for i, sc := range bad {
-		if err := sc.Validate(); err == nil {
-			t.Errorf("bad scenario %d accepted", i)
+		if met, err := runScenario(t, OnChange{}, sc); err == nil {
+			t.Errorf("bad scenario %d accepted: %+v", i, met)
 		}
 	}
 }
 
 // TestCoalesceSimultaneousEvents: events sharing a timestamp trigger at
-// most one re-solve, not one per event.
+// most one remap attempt, not one per event.
 func TestCoalesceSimultaneousEvents(t *testing.T) {
-	lm := testModel(t)
-	r, err := NewRunner(lm, mapping.SortSelectSwap{}, OnChange{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	met, err := r.Run(context.Background(), fourPhaseScenario())
-	if err != nil {
-		t.Fatal(err)
-	}
+	met := mustRun(t, OnChange{}, fourPhaseScenario())
 	// fourPhaseScenario has 8 events at 6 distinct timestamps (two pairs
 	// coincide), so on-change must fire exactly 6 times.
-	if met.Remaps != 6 {
-		t.Errorf("remaps = %d, want 6 (one per distinct timestamp)", met.Remaps)
+	if met.RemapAttempts != 6 {
+		t.Errorf("remap attempts = %d, want 6 (one per distinct timestamp)", met.RemapAttempts)
 	}
 }
 
 // TestDegenerateTimelines: zero-length spans and empty timelines must
 // yield typed errors or well-defined zeros — never NaN/Inf metrics.
 func TestDegenerateTimelines(t *testing.T) {
-	lm := testModel(t)
 	cases := []struct {
 		name    string
 		sc      Scenario
@@ -142,11 +171,7 @@ func TestDegenerateTimelines(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r, err := NewRunner(lm, mapping.SortSelectSwap{}, OnChange{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			met, err := r.Run(context.Background(), tc.sc)
+			met, err := runScenario(t, OnChange{}, tc.sc)
 			if tc.wantErr != nil {
 				if !errors.Is(err, tc.wantErr) {
 					t.Fatalf("err = %v, want %v", err, tc.wantErr)
@@ -186,29 +211,11 @@ func TestPolicies(t *testing.T) {
 	}
 }
 
-func TestNewRunnerValidation(t *testing.T) {
-	lm := testModel(t)
-	if _, err := NewRunner(nil, mapping.Global{}, Never{}); err == nil {
+func TestRunBasic(t *testing.T) {
+	if _, err := NewStreamRunner(nil, StreamConfig{}); err == nil {
 		t.Error("nil model accepted")
 	}
-	if _, err := NewRunner(lm, nil, Never{}); err == nil {
-		t.Error("nil mapper accepted")
-	}
-	if _, err := NewRunner(lm, mapping.Global{}, nil); err == nil {
-		t.Error("nil policy accepted")
-	}
-}
-
-func TestRunBasic(t *testing.T) {
-	lm := testModel(t)
-	r, err := NewRunner(lm, mapping.SortSelectSwap{}, OnChange{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	met, err := r.Run(context.Background(), fourPhaseScenario())
-	if err != nil {
-		t.Fatal(err)
-	}
+	met := mustRun(t, OnChange{}, fourPhaseScenario())
 	if met.Intervals == 0 {
 		t.Fatal("no intervals measured")
 	}
@@ -223,25 +230,10 @@ func TestRunBasic(t *testing.T) {
 // TestOnChangeBeatsNever: re-solving at every change yields better
 // time-weighted balance than never remapping.
 func TestOnChangeBeatsNever(t *testing.T) {
-	lm := testModel(t)
 	sc := fourPhaseScenario()
-	never, err := NewRunner(lm, mapping.SortSelectSwap{}, Never{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	onchange, err := NewRunner(lm, mapping.SortSelectSwap{}, OnChange{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mNever, err := never.Run(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mChange, err := onchange.Run(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mNever.Remaps != 0 || mNever.Migrations != 0 {
+	mNever := mustRun(t, Never{}, sc)
+	mChange := mustRun(t, OnChange{}, sc)
+	if mNever.RemapAttempts != 0 || mNever.Migrations != 0 {
 		t.Error("never policy migrated threads")
 	}
 	if !(mChange.TimeWeightedDevAPL < mNever.TimeWeightedDevAPL) {
@@ -257,22 +249,10 @@ func TestOnChangeBeatsNever(t *testing.T) {
 // TestPeriodicBetweenExtremes: a rate-limited policy lands between
 // never and on-change on balance, with fewer migrations than on-change.
 func TestPeriodicBetweenExtremes(t *testing.T) {
-	lm := testModel(t)
 	sc := fourPhaseScenario()
-	run := func(p Policy) Metrics {
-		r, err := NewRunner(lm, mapping.SortSelectSwap{}, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := r.Run(context.Background(), sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	never := run(Never{})
-	change := run(OnChange{})
-	period := run(Every{Interval: 250})
+	never := mustRun(t, Never{}, sc)
+	change := mustRun(t, OnChange{}, sc)
+	period := mustRun(t, Every{Interval: 250}, sc)
 	if !(period.Remaps > 0 && period.Remaps < change.Remaps+1) {
 		t.Errorf("periodic remaps %d vs on-change %d", period.Remaps, change.Remaps)
 	}
@@ -285,7 +265,6 @@ func TestPeriodicBetweenExtremes(t *testing.T) {
 }
 
 func TestOverSubscription(t *testing.T) {
-	lm := testModel(t)
 	sc := Scenario{
 		Events: []Event{
 			{Time: 0, Arrive: appFrom("C1", 0, "a")},
@@ -296,29 +275,14 @@ func TestOverSubscription(t *testing.T) {
 		},
 		End: 10,
 	}
-	r, err := NewRunner(lm, mapping.SortSelectSwap{}, OnChange{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Run(context.Background(), sc); err == nil {
+	if _, err := runScenario(t, OnChange{}, sc); err == nil {
 		t.Error("over-subscription accepted")
 	}
 }
 
 func TestRunDeterministic(t *testing.T) {
-	lm := testModel(t)
-	r, err := NewRunner(lm, mapping.SortSelectSwap{}, OnChange{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := r.Run(context.Background(), fourPhaseScenario())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := r.Run(context.Background(), fourPhaseScenario())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := mustRun(t, OnChange{}, fourPhaseScenario())
+	b := mustRun(t, OnChange{}, fourPhaseScenario())
 	if a != b {
 		t.Errorf("scheduler not deterministic: %+v vs %+v", a, b)
 	}
@@ -327,21 +291,9 @@ func TestRunDeterministic(t *testing.T) {
 // TestWhenUnbalancedPolicy: the adaptive policy remaps less often than
 // on-change while keeping dev-APL bounded near its threshold.
 func TestWhenUnbalancedPolicy(t *testing.T) {
-	lm := testModel(t)
 	sc := fourPhaseScenario()
-	run := func(p Policy) Metrics {
-		r, err := NewRunner(lm, mapping.SortSelectSwap{}, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := r.Run(context.Background(), sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	change := run(OnChange{})
-	adaptive := run(WhenUnbalanced{Threshold: 0.5})
+	change := mustRun(t, OnChange{}, sc)
+	adaptive := mustRun(t, WhenUnbalanced{Threshold: 0.5}, sc)
 	if adaptive.Remaps == 0 {
 		t.Fatal("adaptive policy never fired despite churn imbalance")
 	}
@@ -352,54 +304,46 @@ func TestWhenUnbalancedPolicy(t *testing.T) {
 		t.Errorf("adaptive migrated more (%d) than on-change (%d)", adaptive.Migrations, change.Migrations)
 	}
 	// A huge threshold degenerates to never.
-	lazy := run(WhenUnbalanced{Threshold: 1e9})
-	if lazy.Remaps != 0 {
-		t.Errorf("threshold 1e9 still remapped %d times", lazy.Remaps)
+	lazy := mustRun(t, WhenUnbalanced{Threshold: 1e9}, sc)
+	if lazy.RemapAttempts != 0 {
+		t.Errorf("threshold 1e9 still attempted %d remaps", lazy.RemapAttempts)
 	}
 	if (WhenUnbalanced{Threshold: 0.5}).Name() == "" {
 		t.Error("empty name")
 	}
 }
 
-// TestMigrationBudget: a budgeted runner never exceeds its per-remap
-// budget and still improves balance over never remapping.
+// TestMigrationBudget: a budgeted remap never moves more live threads
+// than its budget and still improves balance over never remapping,
+// with fewer migrations than full re-solves.
 func TestMigrationBudget(t *testing.T) {
-	lm := testModel(t)
 	sc := fourPhaseScenario()
-	r, err := NewRunner(lm, mapping.SortSelectSwap{}, OnChange{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.MigrationBudget = 8
-	met, err := r.Run(context.Background(), sc)
+	const budget = 8
+	reg := obs.NewRegistry()
+	met, err := runWith(t, OnChange{}, BudgetRemap{Budget: budget}, reg, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if met.Remaps == 0 {
 		t.Fatal("budgeted runner never remapped")
 	}
-	if met.Migrations > met.Remaps*8 {
-		t.Errorf("%d migrations over %d remaps exceeds budget 8", met.Migrations, met.Remaps)
+	// sched.remap.migrations holds each adopted remap's live moves in
+	// upper-inclusive buckets: every non-empty bucket must start below
+	// the budget.
+	h, ok := reg.Snapshot().Histogram("sched.remap.migrations")
+	if !ok || h.Count != uint64(met.Remaps) {
+		t.Fatalf("migrations histogram: ok=%v count=%d remaps=%d", ok, h.Count, met.Remaps)
 	}
-	never, err := NewRunner(lm, mapping.SortSelectSwap{}, Never{})
-	if err != nil {
-		t.Fatal(err)
+	for i, c := range h.Counts {
+		if c > 0 && i > 0 && (i == len(h.Bounds) || h.Bounds[i-1] >= budget) {
+			t.Errorf("%d remaps moved more than %v live threads, budget %d", c, h.Bounds[i-1], budget)
+		}
 	}
-	base, err := never.Run(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := mustRun(t, Never{}, sc)
 	if !(met.TimeWeightedDevAPL < base.TimeWeightedDevAPL) {
 		t.Errorf("budgeted dev %.4f not below never %.4f", met.TimeWeightedDevAPL, base.TimeWeightedDevAPL)
 	}
-	full, err := NewRunner(lm, mapping.SortSelectSwap{}, OnChange{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fm, err := full.Run(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fm := mustRun(t, OnChange{}, sc)
 	if met.Migrations >= fm.Migrations {
 		t.Errorf("budgeted migrations %d not below full remap %d", met.Migrations, fm.Migrations)
 	}
@@ -434,5 +378,11 @@ func TestDebouncedPolicy(t *testing.T) {
 	}
 	if got := m.Name(); got != "dev>0.50/min100" {
 		t.Errorf("Name = %q", got)
+	}
+	// Through the runner: the gap since the last remap (0 before the
+	// first) clears 250 only at t=300 of the 0,100,...,500 groups, and
+	// the next candidate, t=500, is back inside the window.
+	if met := mustRun(t, &Debounced{Inner: OnChange{}, MinInterval: 250}, fourPhaseScenario()); met.RemapAttempts != 1 {
+		t.Errorf("debounced on-change attempted %d remaps, want 1", met.RemapAttempts)
 	}
 }

@@ -32,9 +32,10 @@ type StreamConfig struct {
 	Registry *obs.Registry
 }
 
-// StreamMetrics aggregates one streaming run. The time-weighted APL
-// metrics match what the event-slice Runner reports for the same
-// timeline; the remap-economy counters are the scheduler's SLO surface.
+// StreamMetrics aggregates one run. The time-weighted APL metrics
+// weight each span between event groups by its length (spans with no
+// live application are skipped); the remap-economy counters are the
+// scheduler's SLO surface.
 type StreamMetrics struct {
 	Events     int
 	Arrivals   int
@@ -166,10 +167,14 @@ func (st *streamState) problem(lm *model.LatencyModel) (*core.Problem, core.Mapp
 	return p, m, nil
 }
 
-// Run drains the source and returns aggregate metrics. Progress is
-// reported through ctx's engine sink under the "dynstream" stage; the
-// run is cancellable between event groups and inside every remap
-// solve.
+// Run drains the source and returns aggregate metrics. Events sharing a
+// timestamp are one logical change (e.g. a departure immediately
+// backfilled by an arrival), so the policy is consulted once per group.
+// It rejects a timeline whose groups go back in time, whose End is
+// before its last event, or with an event that is not exactly one of
+// arrive/depart. Progress is reported through ctx's engine sink under
+// the "dynstream" stage; the run is cancellable between event groups
+// and inside every remap solve.
 func (r *StreamRunner) Run(ctx context.Context, src Source) (StreamMetrics, error) {
 	reg := r.cfg.Registry
 	evCount := reg.Counter("sched.stream.events")
@@ -254,13 +259,16 @@ func (r *StreamRunner) Run(ctx context.Context, src Source) (StreamMetrics, erro
 			prevTime = now
 			first = false
 		}
+		if now < prevTime {
+			return StreamMetrics{}, fmt.Errorf("sched: stream event %d out of order (t=%d after %d)", met.Events, now, prevTime)
+		}
 		measure(now)
 		prevTime = now
 
 		for i := range group {
 			e := &group[i]
-			if e.Time < now {
-				return StreamMetrics{}, fmt.Errorf("sched: stream event out of order (t=%d after %d)", e.Time, now)
+			if (e.Arrive == nil) == (e.Depart == "") {
+				return StreamMetrics{}, fmt.Errorf("sched: stream event %d must be exactly one of arrive/depart", met.Events)
 			}
 			if e.Arrive != nil {
 				if err := st.arrive(r.lm, r.cfg.Placement, e.Arrive); err != nil {
@@ -320,7 +328,11 @@ func (r *StreamRunner) Run(ctx context.Context, src Source) (StreamMetrics, erro
 	if met.Events == 0 {
 		return StreamMetrics{}, ErrNoEvents
 	}
-	measure(src.End())
+	end := src.End()
+	if end < prevTime {
+		return StreamMetrics{}, fmt.Errorf("sched: stream end %d before last event %d", end, prevTime)
+	}
+	measure(end)
 	if weightSum > 0 {
 		met.TimeWeightedMaxAPL /= weightSum
 		met.TimeWeightedDevAPL /= weightSum

@@ -15,7 +15,7 @@
 //   - CacheDriven: threads run synthetic address streams through real
 //     L1/L2/directory/memory-controller models; request rates emerge
 //     from cache behaviour. This exercises the full substrate and backs
-//     the coherence-traffic examples.
+//     the coherence-traffic example (ExampleCacheDriven).
 package sim
 
 import (
