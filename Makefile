@@ -21,7 +21,7 @@ bench:
 BENCH_COUNT ?= 3
 NOC_BENCH = 'NoC|Fig8|Fig9|Fig11|Worklist|RateDrivenSim|ExtTail|ExtLoadSweep|ExtBurst|ExtCongestion'
 NOC_BENCH_PKGS = . ./internal/noc
-MAPPING_BENCH = '^BenchmarkSSSMap$$|^BenchmarkAnnealingMap$$|^BenchmarkMonteCarlo$$|^BenchmarkEvaluateBatch$$|^BenchmarkDynamicStream$$|^BenchmarkNSGAII$$|^BenchmarkExtDynamic$$'
+MAPPING_BENCH = '^BenchmarkSSSMap$$|^BenchmarkAnnealingMap$$|^BenchmarkMonteCarlo$$|^BenchmarkEvaluateBatch$$|^BenchmarkDynamicStream$$|^BenchmarkNSGAII$$|^BenchmarkExtDynamic$$|^BenchmarkExtGap$$'
 bench-json:
 	go test -run '^$$' -bench $(NOC_BENCH) -benchmem -count=$(BENCH_COUNT) $(NOC_BENCH_PKGS) | go run ./cmd/benchjson -out BENCH_noc.json
 	go test -run '^$$' -bench $(MAPPING_BENCH) -benchmem -count=$(BENCH_COUNT) . | go run ./cmd/benchjson -out BENCH_mapping.json

@@ -22,6 +22,7 @@ import (
 	"obm/internal/model"
 	"obm/internal/noc"
 	"obm/internal/obs"
+	"obm/internal/scenario"
 	"obm/internal/sched"
 	"obm/internal/sim"
 	"obm/internal/stats"
@@ -516,8 +517,18 @@ func benchExt(b *testing.B, id string) {
 	}
 }
 
-// BenchmarkExtGap regenerates the optimality-gap study.
-func BenchmarkExtGap(b *testing.B) { benchExt(b, "gap") }
+// BenchmarkExtGap regenerates the optimality-gap study from a cold
+// artifact cache, as one perfbench map-solve pass does: with a warm
+// cache every mapper is a hit and only the lower bounds would be timed.
+func BenchmarkExtGap(b *testing.B) {
+	b.Cleanup(func() { scenario.ResetShared() })
+	for i := 0; i < b.N; i++ {
+		scenario.ResetShared()
+		if _, err := mustRun(b, "gap"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkExtAblation regenerates the SSS ablation study.
 func BenchmarkExtAblation(b *testing.B) { benchExt(b, "ablation") }

@@ -21,7 +21,7 @@ import (
 func (p *Problem) SolveSAM(lo, hi int, tiles []mesh.Tile) (assign []mesh.Tile, cost float64, err error) {
 	var s SAMSolver
 	s.p = p
-	rowToCol, total, err := s.solve(lo, hi, tiles)
+	rowToCol, total, err := s.Solve(lo, hi, tiles)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -53,10 +53,12 @@ func (p *Problem) NewSAMSolver() *SAMSolver {
 	return &SAMSolver{p: p}
 }
 
-// solve runs Algorithm 1 for thread range [lo, hi) over tiles and
-// returns the Hungarian row-to-column assignment (owned by the solver,
-// overwritten by the next call) and the total packet latency.
-func (s *SAMSolver) solve(lo, hi int, tiles []mesh.Tile) ([]int, float64, error) {
+// Solve runs Algorithm 1 for thread range [lo, hi) over tiles and
+// returns the Hungarian row-to-column assignment — thread lo+x gets
+// tiles[assign[x]]; the slice is owned by the solver and overwritten by
+// the next call — and the total packet latency (the APL numerator). It
+// is Problem.SolveSAM without the per-call allocations.
+func (s *SAMSolver) Solve(lo, hi int, tiles []mesh.Tile) ([]int, float64, error) {
 	p := s.p
 	na := hi - lo
 	if na <= 0 || lo < 0 || hi > p.N() {
@@ -96,7 +98,7 @@ func (s *SAMSolver) solve(lo, hi int, tiles []mesh.Tile) ([]int, float64, error)
 func (s *SAMSolver) SolveInto(m Mapping, appIdx int, tiles []mesh.Tile) (float64, error) {
 	p := s.p
 	lo, hi := p.AppThreads(appIdx)
-	rowToCol, cost, err := s.solve(lo, hi, tiles)
+	rowToCol, cost, err := s.Solve(lo, hi, tiles)
 	if err != nil {
 		return 0, err
 	}

@@ -3,10 +3,12 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"obm/internal/core"
 	"obm/internal/mapping"
 	"obm/internal/sched"
+	"obm/internal/sim"
 )
 
 func init() { register(extDynstream{}) }
@@ -104,29 +106,40 @@ func (e extDynstream) Run(ctx context.Context, o Options) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &DynstreamResult{Events: events, Stream: o.Stream}
-	for _, s := range dynstreamSchemes(interval) {
+	// The schemes share nothing — each builds its own generator and
+	// runner over the same seeded timeline — so they run as one job
+	// list across cores. The ladder's cost grows with each rung, so
+	// jobs are dispatched last rung first and the rows rebuilt in ladder
+	// order, identical to the serial loop's.
+	schemes := dynstreamSchemes(interval)
+	rows, err := sim.RunReplicas(ctx, len(schemes), 0, func(ctx context.Context, i int) (DynstreamRow, error) {
+		s := schemes[len(schemes)-1-i]
 		src, err := sched.NewGenerator(gen)
 		if err != nil {
-			return nil, err
+			return DynstreamRow{}, err
 		}
 		r, err := sched.NewStreamRunner(lm, s.cfg)
 		if err != nil {
-			return nil, err
+			return DynstreamRow{}, err
 		}
 		met, err := r.Run(ctx, src)
 		if err != nil {
-			return nil, fmt.Errorf("dynstream scheme %s: %w", s.name, err)
+			return DynstreamRow{}, fmt.Errorf("dynstream scheme %s: %w", s.name, err)
 		}
-		res.Rows = append(res.Rows, DynstreamRow{
+		return DynstreamRow{
 			Scheme: s.name,
 			Events: met.Events,
 			Remaps: met.Remaps, Rejected: met.RemapsRejected,
 			Migrations: met.Migrations,
 			MaxAPL:     met.TimeWeightedMaxAPL,
 			DevAPL:     met.TimeWeightedDevAPL,
-		})
+		}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	slices.Reverse(rows)
+	res := &DynstreamResult{Events: events, Stream: o.Stream, Rows: rows}
 	// Wall-clock SLO metrics (p99 remap latency, migrations per remap,
 	// time-weighted dev-APL histogram) are recorded in the obs registry
 	// (sched.remap.*, sched.stream.*), never in this result: the

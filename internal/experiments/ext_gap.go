@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"obm/internal/mapping"
+	"obm/internal/sim"
 	"obm/internal/workload"
 )
 
@@ -45,12 +46,12 @@ func (g extGap) Run(ctx context.Context, o Options) (Result, error) {
 	for _, m := range mappers {
 		res.Mappers = append(res.Mappers, shortName(m))
 	}
-	res.Obj = make([][]float64, len(mappers))
-	for mi := range res.Obj {
-		res.Obj[mi] = make([]float64, len(cfgs))
-	}
-	for ci, cfg := range cfgs {
-		p, err := problemFor(cfg)
+	// One job per configuration, each building its own Problem and
+	// running every mapper in order (share-nothing, as fig9 does); the
+	// columns come back in config order, so the table is identical to
+	// the serial loop's. col[0] is the bound, col[1+mi] mapper mi.
+	cols, err := sim.RunReplicas(ctx, len(cfgs), 0, func(ctx context.Context, ci int) ([]float64, error) {
+		p, err := problemFor(cfgs[ci])
 		if err != nil {
 			return nil, err
 		}
@@ -58,13 +59,27 @@ func (g extGap) Run(ctx context.Context, o Options) (Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Bounds = append(res.Bounds, lb)
-		for mi, m := range mappers {
+		col := []float64{lb}
+		for _, m := range mappers {
 			_, ev, err := mapEval(ctx, p, m)
 			if err != nil {
 				return nil, err
 			}
-			res.Obj[mi][ci] = ev.MaxAPL
+			col = append(col, ev.MaxAPL)
+		}
+		return col, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.Obj = make([][]float64, len(mappers))
+	for mi := range res.Obj {
+		res.Obj[mi] = make([]float64, len(cfgs))
+	}
+	for ci, col := range cols {
+		res.Bounds = append(res.Bounds, col[0])
+		for mi := range mappers {
+			res.Obj[mi][ci] = col[1+mi]
 		}
 	}
 	return res, nil
